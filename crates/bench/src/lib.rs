@@ -1,9 +1,10 @@
-//! Shared fixtures for the Criterion benchmark harness, plus the
+//! Shared fixtures for the `baseline` performance binary, plus the
 //! quality-ablation studies called out in `DESIGN.md`.
 //!
-//! Performance benches live in `benches/` (run with `cargo bench`);
-//! the ablations (which measure estimation *quality*, not time) are a
-//! binary: `cargo run -p wiscape-bench --bin ablations --release`.
+//! The baseline writes `results/BENCH_core.json`
+//! (`cargo run -p wiscape-bench --bin baseline --release`); the
+//! ablations (which measure estimation *quality*, not time) are a
+//! binary too: `cargo run -p wiscape-bench --bin ablations --release`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,8 +12,7 @@
 pub mod ablations;
 
 use wiscape_geo::GeoPoint;
-use wiscape_simcore::{SimTime, StreamRng};
-use wiscape_simnet::{Landscape, LandscapeConfig, NetworkId, TransportKind};
+use wiscape_simnet::{Landscape, LandscapeConfig};
 
 /// The canonical benchmark landscape (Madison preset, fixed seed).
 pub fn bench_landscape() -> Landscape {
@@ -28,40 +28,6 @@ pub fn bench_point(land: &Landscape) -> GeoPoint {
         .unwrap_or(c)
 }
 
-/// A long synthetic measurement series for statistics benches:
-/// `(t_seconds, value)` pairs with drift + noise.
-pub fn bench_series(n: usize) -> Vec<wiscape_stats::TimedValue> {
-    let land = bench_landscape();
-    let p = bench_point(&land);
-    let mut out = Vec::with_capacity(n);
-    let mut t = SimTime::at(0, 0.0);
-    let mut k = 0u64;
-    while out.len() < n {
-        k += 1;
-        let train = land
-            .probe_train(NetworkId::NetB, TransportKind::Udp, &p, t, 4, 1200)
-            .expect("NetB present");
-        for v in train.received_kbps() {
-            out.push(wiscape_stats::TimedValue::new(t.as_secs_f64(), v));
-            if out.len() >= n {
-                break;
-            }
-        }
-        t = t + wiscape_simcore::SimDuration::from_secs(30 + (k % 7) as i64);
-    }
-    out
-}
-
-/// Two large sample pools drawn from the same distribution (NKLD
-/// benches).
-pub fn bench_pools(n: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut rng = StreamRng::new(17).fork("pools").rng();
-    let d = wiscape_simcore::dist::LogNormal::from_mean_cv(1000.0, 0.12).expect("valid");
-    let a = (0..n).map(|_| d.sample(&mut rng)).collect();
-    let b = (0..n).map(|_| d.sample(&mut rng)).collect();
-    (a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,10 +37,5 @@ mod tests {
         let land = bench_landscape();
         let p = bench_point(&land);
         assert!(!land.is_degraded(&p));
-        let s = bench_series(500);
-        assert_eq!(s.len(), 500);
-        let (a, b) = bench_pools(100);
-        assert_eq!(a.len(), 100);
-        assert_eq!(b.len(), 100);
     }
 }

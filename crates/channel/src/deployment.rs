@@ -1,33 +1,45 @@
-//! A WiScape deployment whose control loop runs over the wire protocol.
+//! The WiScape deployment control loop (paper §3.4), run over the wire
+//! protocol.
 //!
-//! [`ChannelDeployment`] replays the exact control loop of
-//! [`wiscape_core::Deployment`] — same rounds, same fleet order, same
-//! RNG fork paths — but every coordinator interaction crosses the
-//! simulated control channel: check-ins and reports are encoded,
-//! framed, and sent over a per-client [`LossyLink`]; task assignments
-//! and acks come back the same way; reports ride the reliable
-//! [`Uplink`] queue.
+//! [`ChannelDeployment`] wires the full loop over simulated time:
+//!
+//! 1. mobile clients (a [`wiscape_mobility::Fleet`]) check in with
+//!    their coarse position once per `checkin_interval`;
+//! 2. the coordinator probabilistically issues measurement tasks so
+//!    each zone collects its per-epoch sample quota;
+//! 3. each client's [`ClientAgent`] executes its tasks against the
+//!    simulated landscape and reports per-packet samples tagged with
+//!    the GPS-precise zone;
+//! 4. the coordinator aggregates, finalizes epochs, and emits change
+//!    alerts on 2σ shifts; with `auto_tune` on, the §3.4 tuners
+//!    re-estimate per-zone quotas and epochs from accumulated history.
+//!
+//! Every coordinator interaction crosses the simulated control
+//! channel: check-ins and reports are encoded, framed, and sent over a
+//! per-client [`LossyLink`]; task assignments and acks come back the
+//! same way; reports ride the reliable [`Uplink`] queue.
 //!
 //! **Parity invariant**: with [`perfect_link`] the transport is a
 //! direct function call (zero loss, zero delay, no channel RNG draws),
-//! the server derives each task coin from the same
-//! `fork("coin").fork_idx(round).fork_idx(client)` path the direct
-//! deployment uses, and reports are committed on arrival — so the
-//! published map, alerts, and stats are bitwise-identical to
-//! [`wiscape_core::Deployment`] for the same inputs. Channel
-//! randomness (link fates, backoff jitter) lives under separate
-//! `fork("channel")` paths and therefore cannot perturb the
-//! measurement stream even when enabled.
+//! the server derives each task coin from the
+//! `fork("coin").fork_idx(round).fork_idx(client)` path of the
+//! `"deployment"` stream, and reports are committed on arrival — so the
+//! published map, alerts, and stats are bitwise-identical to a direct
+//! loop that calls `Coordinator::client_checkin`, `ClientAgent::execute`
+//! and `Coordinator::ingest_report` in fleet order (the reference loop
+//! in this module's tests). Channel randomness (link fates, backoff
+//! jitter) lives under separate `fork("channel")` paths and therefore
+//! cannot perturb the measurement stream even when enabled.
 
 use std::collections::BTreeMap;
 
 use wiscape_core::{
-    ClientAgent, Coordinator, CoordinatorHandle, DeploymentConfig, DeploymentStats, EpochTuner,
-    HistoryStore, QuotaTuner, RebalanceMove, ShardAssignment,
+    ClientAgent, Coordinator, CoordinatorConfig, CoordinatorHandle, EpochTuner, HistoryStore,
+    QuotaTuner, RebalanceMove, ShardAssignment,
 };
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::{ClientId, Fleet};
-use wiscape_simcore::{SimTime, StreamRng};
+use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::{Landscape, NetworkId};
 
 use crate::codec::{decode_ref, encode, CheckinRequest, WireMessage, WireMessageRef};
@@ -35,6 +47,52 @@ use crate::link::{LinkConfig, LinkMeters, LossyLink};
 use crate::server::{ChannelServer, CommitPolicy, ServerEndpoint, ServerMeters};
 use crate::shard::ShardedChannelServer;
 use crate::uplink::{Uplink, UplinkConfig, UplinkMeters};
+
+/// Parameters of the deployment control loop.
+#[derive(Debug, Clone)]
+pub struct DeploymentConfig {
+    /// Coordinator tuning.
+    pub coordinator: CoordinatorConfig,
+    /// How often each client checks in.
+    pub checkin_interval: SimDuration,
+    /// Which networks to monitor (defaults to all present).
+    pub networks: Vec<NetworkId>,
+    /// Enable closed-loop tuning (paper §3.4): per-zone sample quotas
+    /// from the NKLD analysis and per-zone epochs from the Allan
+    /// deviation, re-estimated every `retune_interval`.
+    pub auto_tune: bool,
+    /// How often the tuners re-run over accumulated history.
+    pub retune_interval: SimDuration,
+}
+
+impl Default for DeploymentConfig {
+    fn default() -> Self {
+        Self {
+            coordinator: CoordinatorConfig::default(),
+            checkin_interval: SimDuration::from_secs(60),
+            networks: Vec::new(),
+            auto_tune: false,
+            retune_interval: SimDuration::from_hours(6),
+        }
+    }
+}
+
+/// Outcome counters of a deployment run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeploymentStats {
+    /// Client check-ins processed.
+    pub checkins: u64,
+    /// Measurement tasks issued.
+    pub tasks_issued: u64,
+    /// Reports successfully ingested.
+    pub reports: u64,
+    /// Probe packets clients were asked to send (the client burden).
+    pub packets_requested: u64,
+    /// Zones whose sample quota has been NKLD-tuned.
+    pub quotas_tuned: u64,
+    /// Zones whose epoch has been Allan-tuned.
+    pub epochs_tuned: u64,
+}
 
 /// Configuration of a channel-backed deployment.
 #[derive(Debug, Clone)]
@@ -61,7 +119,7 @@ pub struct ChannelConfig {
 
 /// The parity configuration: perfect links in both directions and
 /// immediate commit. Running a deployment with this config reproduces
-/// [`wiscape_core::Deployment`] bit for bit.
+/// the direct-call control loop bit for bit (see the module docs).
 pub fn perfect_link() -> ChannelConfig {
     ChannelConfig {
         deployment: DeploymentConfig::default(),
@@ -89,7 +147,7 @@ pub fn report_loss(drop_rate: f64) -> ChannelConfig {
             ..LinkConfig::perfect()
         },
         uplink: UplinkConfig::default(),
-        commit: CommitPolicy::Watermark(wiscape_simcore::SimDuration::from_hours(24 * 365)),
+        commit: CommitPolicy::Watermark(SimDuration::from_hours(24 * 365)),
         max_drain_rounds: 500,
     }
 }
@@ -105,7 +163,7 @@ pub fn lossy_cellular(drop_rate: f64) -> ChannelConfig {
         downlink_link: LinkConfig::cellular(drop_rate),
         report_link: LinkConfig::cellular(drop_rate),
         uplink: UplinkConfig::default(),
-        commit: CommitPolicy::Watermark(wiscape_simcore::SimDuration::from_hours(24 * 365)),
+        commit: CommitPolicy::Watermark(SimDuration::from_hours(24 * 365)),
         max_drain_rounds: 200,
     }
 }
@@ -360,7 +418,7 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
 
     /// The check-in interval driving round timing (for callers that
     /// split a run on a round boundary).
-    pub fn checkin_interval(&self) -> wiscape_simcore::SimDuration {
+    pub fn checkin_interval(&self) -> SimDuration {
         self.config.deployment.checkin_interval
     }
 
@@ -374,8 +432,7 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
         &self.land
     }
 
-    /// Deployment-level counters (mirrors
-    /// [`wiscape_core::DeploymentStats`] semantics).
+    /// Deployment-level counters.
     pub fn stats(&self) -> DeploymentStats {
         self.stats
     }
@@ -551,8 +608,10 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
     }
 
     /// Re-runs the NKLD quota tuner and the Allan epoch tuner over every
-    /// zone with enough history (same fork path as the direct
-    /// deployment, so tuned runs stay comparable).
+    /// zone with enough history, installing the results through the
+    /// endpoint. Called from every round when `auto_tune` is on and
+    /// `retune_interval` has elapsed; public so operators can retune on
+    /// demand.
     pub fn retune(&mut self, now: SimTime) {
         let min = self
             .quota_tuner
@@ -697,8 +756,6 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiscape_core::{Deployment, DeploymentConfig};
-    use wiscape_simcore::SimDuration;
     use wiscape_simnet::LandscapeConfig;
 
     fn fleet(seed: u64, land: &Landscape) -> Fleet {
@@ -715,47 +772,192 @@ mod tests {
         ChannelDeployment::new(land, f, index, config)
     }
 
-    fn direct_deployment(seed: u64) -> Deployment {
+    /// `perfect_link()` with a 120 s check-in interval.
+    fn perfect_120s() -> ChannelConfig {
+        let mut cfg = perfect_link();
+        cfg.deployment.checkin_interval = SimDuration::from_secs(120);
+        cfg
+    }
+
+    /// The reference control loop with no channel at all: per round and
+    /// client, draw the task coin, check in, execute each task and
+    /// ingest its report by direct call; flush at `end`.
+    fn direct_run(
+        seed: u64,
+        config: &DeploymentConfig,
+        start: SimTime,
+        end: SimTime,
+    ) -> (Coordinator, DeploymentStats) {
         let land = Landscape::new(LandscapeConfig::madison(seed));
-        let f = fleet(seed, &land);
+        let fleet = fleet(seed, &land);
         let index = wiscape_core::ZoneIndex::around(land.origin(), 6000.0).unwrap();
-        Deployment::new(
-            land,
-            f,
-            index,
-            DeploymentConfig {
-                checkin_interval: SimDuration::from_secs(120),
-                ..Default::default()
-            },
-        )
+        let networks = land.networks();
+        let mut coordinator = Coordinator::new(index, config.coordinator.clone());
+        let stream = StreamRng::new(seed).fork("deployment");
+        let mut stats = DeploymentStats::default();
+        let mut now = start;
+        let mut round = 0u64;
+        while now < end {
+            round += 1;
+            for client in fleet.clients() {
+                let Some(fix) = client.position_at(now) else {
+                    continue;
+                };
+                stats.checkins += 1;
+                let coin = stream
+                    .fork("coin")
+                    .fork_idx(round)
+                    .fork_idx(u64::from(client.id().0))
+                    .draw_unit_f64();
+                let tasks =
+                    coordinator.client_checkin(client.id(), &fix.point, now, &networks, coin);
+                let agent = ClientAgent::new(client.id());
+                for task in tasks {
+                    stats.tasks_issued += 1;
+                    let index = coordinator.index();
+                    if let Ok(report) = agent.execute(&land, index, &task, &fix.point, now) {
+                        if coordinator.ingest_report(&report).is_ok() {
+                            stats.reports += 1;
+                        }
+                    }
+                }
+            }
+            now = now + config.checkin_interval;
+        }
+        coordinator.flush(end);
+        stats.packets_requested = coordinator.packets_requested();
+        (coordinator, stats)
     }
 
     #[test]
     fn perfect_link_matches_direct_deployment_bitwise() {
-        let mut cfg = perfect_link();
-        cfg.deployment.checkin_interval = SimDuration::from_secs(120);
-        let mut over_channel = channel_deployment(60, cfg);
-        let mut direct = direct_deployment(60);
+        let cfg = perfect_120s();
         let start = SimTime::at(1, 8.0);
         let end = SimTime::at(1, 12.0);
+        let mut over_channel = channel_deployment(60, cfg.clone());
         over_channel.run(start, end);
-        direct.run(start, end);
-        assert_eq!(over_channel.stats(), direct.stats());
+        let (direct, direct_stats) = direct_run(60, &cfg.deployment, start, end);
+        assert_eq!(over_channel.stats(), direct_stats);
         let a = over_channel.coordinator().all_published();
-        let b = direct.coordinator().all_published();
+        let b = direct.all_published();
+        assert!(!a.is_empty());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x, y, "published estimates must be bitwise equal");
         }
+        assert_eq!(over_channel.coordinator().alerts(), direct.alerts());
         assert_eq!(
-            over_channel.coordinator().alerts(),
-            direct.coordinator().alerts()
+            wiscape_core::state_fingerprint(&over_channel.coordinator().export_state()),
+            wiscape_core::state_fingerprint(&direct.export_state()),
         );
         // And the channel actually carried traffic to do it.
         let m = over_channel.meters();
         assert!(m.up.frames_sent > 0 && m.down.frames_sent > 0);
         assert_eq!(m.up.frames_dropped, 0);
         assert_eq!(m.uplink.retries, 0);
+    }
+
+    #[test]
+    fn perfect_link_run_publishes_plausible_estimates() {
+        let mut d = channel_deployment(60, perfect_120s());
+        d.run(SimTime::at(1, 8.0), SimTime::at(1, 14.0));
+        let stats = d.stats();
+        assert!(stats.checkins > 300, "{stats:?}");
+        assert!(stats.tasks_issued > 20, "{stats:?}");
+        assert_eq!(stats.reports, stats.tasks_issued, "all tasks on known nets");
+        let published = d.coordinator().all_published();
+        assert!(
+            published.len() > 5,
+            "{} published estimates",
+            published.len()
+        );
+        for e in &published {
+            assert!(e.mean > 50.0 && e.mean < 7200.0, "estimate {e:?}");
+            assert!(e.samples >= 1);
+        }
+    }
+
+    #[test]
+    fn static_spot_estimate_tracks_ground_truth() {
+        let mut d = channel_deployment(61, perfect_120s());
+        d.run(SimTime::at(1, 8.0), SimTime::at(1, 16.0));
+        // The static spot's zone gets steady samples; compare against
+        // ground truth there.
+        let p = d.landscape().origin();
+        let zone = d.coordinator().index().zone_of(&p);
+        let est = d
+            .coordinator()
+            .published(zone, NetworkId::NetB)
+            .expect("spot zone is measured");
+        let truth = d
+            .landscape()
+            .link_quality(NetworkId::NetB, &p, SimTime::at(1, 12.0))
+            .unwrap()
+            .udp_kbps;
+        let err = (est.mean - truth).abs() / truth;
+        assert!(
+            err < 0.25,
+            "estimate {} vs truth {truth}: err {err}",
+            est.mean
+        );
+    }
+
+    #[test]
+    fn packets_requested_stay_within_the_zone_epoch_bound() {
+        // The whole point of WiScape: per zone per epoch, at most
+        // ~target_samples packets are requested.
+        let cfg = perfect_120s();
+        let target = u64::from(cfg.deployment.coordinator.target_samples_per_epoch);
+        let mut d = channel_deployment(62, cfg);
+        d.run(SimTime::at(1, 8.0), SimTime::at(1, 12.0));
+        let cells: std::collections::BTreeSet<_> = d
+            .coordinator()
+            .all_published()
+            .iter()
+            .map(|e| (e.zone, e.network))
+            .collect();
+        // 4 hours / 30 min epochs = up to 8 epochs per zone-network.
+        let bound = (cells.len().max(1) as u64 + 200) * target * 9;
+        let requested = d.stats().packets_requested;
+        assert!(requested > 0);
+        assert!(requested < bound, "{requested} packets vs bound {bound}");
+    }
+
+    #[test]
+    fn auto_tune_installs_quotas_and_epochs() {
+        // A static spot feeds one zone steadily; with auto-tune on, a
+        // short retune interval and lowered history requirements, that
+        // zone's quota and epoch get set from its own history within a
+        // day.
+        let land = Landscape::new(LandscapeConfig::madison(64));
+        let spot = land.origin();
+        let mut fleet = Fleet::new(64);
+        fleet.add_static_spot(spot);
+        let index = wiscape_core::ZoneIndex::around(land.origin(), 6000.0).unwrap();
+        let mut cfg = perfect_link();
+        cfg.deployment = DeploymentConfig {
+            checkin_interval: SimDuration::from_secs(30),
+            auto_tune: true,
+            retune_interval: SimDuration::from_hours(2),
+            ..Default::default()
+        };
+        let mut d = ChannelDeployment::new(land, fleet, index, cfg);
+        d.quota_tuner.min_history = 300;
+        d.epoch_tuner.min_history = 300;
+        d.run(SimTime::at(1, 0.0), SimTime::at(2, 0.0));
+        let stats = d.stats();
+        assert!(stats.quotas_tuned > 0, "{stats:?}");
+        assert!(stats.epochs_tuned > 0, "{stats:?}");
+        let zone = d.coordinator().index().zone_of(&spot);
+        let quota = d.coordinator().zone_quota(zone, NetworkId::NetB);
+        assert!(
+            (10..=300).contains(&quota),
+            "tuned quota {quota} should be Fig 7-scale"
+        );
+        let epoch = d.coordinator().zone_epoch(zone, NetworkId::NetB);
+        let bounds = &d.epoch_tuner.config;
+        assert!(epoch >= bounds.min_epoch && epoch <= bounds.max_epoch);
+        assert!(!d.history().keys_with_min(100).is_empty());
     }
 
     #[test]
@@ -828,23 +1030,46 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_single_for_any_shard_count() {
-        let mut cfg = perfect_link();
-        cfg.deployment.checkin_interval = SimDuration::from_secs(120);
+        // Lowered history requirements (and a lighter NKLD search) let a
+        // morning of data tune several zones when auto-tune is on; with
+        // it off nothing may be tuned. Tuned quotas and epochs go
+        // through `ServerEndpoint::set_zone_quota`/`set_zone_epoch`, so
+        // the router must install each on the owning shard.
+        let mut tuned = perfect_120s();
+        tuned.deployment.auto_tune = true;
+        tuned.deployment.retune_interval = SimDuration::from_hours(1);
+        let lower = |quota: &mut QuotaTuner, epoch: &mut EpochTuner| {
+            quota.min_history = 100;
+            quota.iterations = 10;
+            epoch.min_history = 100;
+        };
         let start = SimTime::at(1, 8.0);
         let end = SimTime::at(1, 12.0);
-        let mut single = channel_deployment(64, cfg.clone());
-        single.run(start, end);
-        let want = wiscape_core::state_fingerprint(&single.coordinator().export_state());
-        for n in [1usize, 2, 4] {
-            let mut sharded = sharded_deployment(64, cfg.clone(), n);
-            sharded.run(start, end);
-            assert_eq!(
-                wiscape_core::state_fingerprint(&sharded.coordinator().export_state()),
-                want,
-                "sharded (n={n}) must be bitwise identical to single"
-            );
-            assert_eq!(sharded.stats(), single.stats(), "stats (n={n})");
-            assert_eq!(sharded.meters(), single.meters(), "meters (n={n})");
+        for cfg in [perfect_120s(), tuned] {
+            let auto_tune = cfg.deployment.auto_tune;
+            let mut single = channel_deployment(64, cfg.clone());
+            lower(&mut single.quota_tuner, &mut single.epoch_tuner);
+            single.run(start, end);
+            let stats = single.stats();
+            assert_eq!(auto_tune, stats.quotas_tuned > 0, "{stats:?}");
+            assert_eq!(auto_tune, stats.epochs_tuned > 0, "{stats:?}");
+            let want = wiscape_core::state_fingerprint(&single.coordinator().export_state());
+            for n in [1usize, 2, 4] {
+                let mut sharded = sharded_deployment(64, cfg.clone(), n);
+                lower(&mut sharded.quota_tuner, &mut sharded.epoch_tuner);
+                sharded.run(start, end);
+                assert_eq!(
+                    wiscape_core::state_fingerprint(&sharded.coordinator().export_state()),
+                    want,
+                    "sharded (n={n}, auto_tune={auto_tune}) must be bitwise identical to single"
+                );
+                assert_eq!(
+                    sharded.stats(),
+                    stats,
+                    "stats (n={n}, auto_tune={auto_tune})"
+                );
+                assert_eq!(sharded.meters(), single.meters(), "meters (n={n})");
+            }
         }
     }
 
@@ -872,8 +1097,7 @@ mod tests {
 
     #[test]
     fn mid_run_rebalance_preserves_bitwise_parity() {
-        let mut cfg = perfect_link();
-        cfg.deployment.checkin_interval = SimDuration::from_secs(120);
+        let cfg = perfect_120s();
         let start = SimTime::at(1, 8.0);
         let mid = SimTime::at(1, 10.0); // on a check-in boundary
         let end = SimTime::at(1, 12.0);

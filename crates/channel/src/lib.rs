@@ -18,8 +18,8 @@
 //! * [`server`] — coordinator-side decode, `(client, seq)` dedup, and
 //!   idempotent ingest, so at-least-once delivery never double-counts a
 //!   sample;
-//! * [`deployment`] — a channel-backed deployment harness that
-//!   reproduces [`wiscape_core::Deployment`] bit for bit under
+//! * [`deployment`] — the deployment control loop (§3.4) over the
+//!   channel: it reproduces a direct-call loop bit for bit under
 //!   [`perfect_link`], and degrades gracefully (and reproducibly) under
 //!   loss.
 //!
@@ -68,11 +68,11 @@ pub mod shard;
 pub mod uplink;
 
 pub use codec::{
-    decode, decode_all, decode_prefix, encode, AckMsg, CheckinRequest, DecodeError, ReportMsg,
-    TaskAssignment, WireMessage,
+    decode, encode, AckMsg, CheckinRequest, DecodeError, ReportMsg, TaskAssignment, WireMessage,
 };
 pub use deployment::{
     lossy_cellular, perfect_link, report_loss, ChannelConfig, ChannelDeployment, ChannelRunMeters,
+    DeploymentConfig, DeploymentStats,
 };
 pub use link::{Delivery, LinkConfig, LinkMeters, LossyLink};
 pub use server::{ChannelServer, CommitPolicy, ServerEndpoint, ServerMeters};

@@ -17,7 +17,7 @@
 //! The [`CommitPolicy`] decides *when* a deduplicated report reaches
 //! [`Coordinator::ingest_report`]. `Immediate` ingests on arrival —
 //! with a perfect link this makes the server's call sequence identical
-//! to the direct-call deployment, which is the bitwise-parity argument.
+//! to a direct-call control loop, which is the bitwise-parity argument.
 //! `Watermark` stages reports and ingests them in `(t, client, seq)`
 //! order once they are older than the settle window, which makes the
 //! published map independent of delivery order (and hence of the loss
@@ -48,7 +48,7 @@ use crate::codec::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitPolicy {
     /// Ingest on arrival. With a perfect link this reproduces the
-    /// direct-call deployment exactly; with loss, the published map
+    /// direct-call control loop exactly; with loss, the published map
     /// depends on arrival order.
     Immediate,
     /// Stage reports and ingest them in `(t, client, seq)` order once
@@ -163,13 +163,12 @@ pub struct ChannelServer<C: CoordinatorHandle = Coordinator> {
 impl<C: CoordinatorHandle> ChannelServer<C> {
     /// Wraps `coordinator` behind the wire protocol.
     ///
-    /// `stream` must be the same-rooted fork the direct-call deployment
-    /// would use (`StreamRng::new(seed).fork("deployment")`): the
-    /// task-issuance coin for a check-in with counter `tick` from
-    /// client `c` is drawn from `fork("coin").fork_idx(tick)
-    /// .fork_idx(c)`, exactly the fork path of
-    /// [`wiscape_core::Deployment`], so a perfect link reproduces its
-    /// decisions bit for bit.
+    /// `stream` is the deployment's measurement stream
+    /// (`StreamRng::new(seed).fork("deployment")`): the task-issuance
+    /// coin for a check-in with counter `tick` from client `c` is drawn
+    /// from `fork("coin").fork_idx(tick).fork_idx(c)`, so a perfect link
+    /// reproduces a direct-call control loop's decisions bit for bit
+    /// (see [`crate::deployment`]).
     pub fn new(
         coordinator: C,
         policy: CommitPolicy,

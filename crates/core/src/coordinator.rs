@@ -1,6 +1,7 @@
 //! The measurement coordinator (paper §3.4, "Putting it all together").
 //!
-//! Deployment loop:
+//! The control loop (driven end to end by `wiscape-channel`'s
+//! `ChannelDeployment`):
 //!
 //! 1. each client periodically reports its coarse zone (in real systems,
 //!    from its associated cell tower) — [`Coordinator::client_checkin`];

@@ -37,13 +37,18 @@ fn main() {
         index.zone_count(),
         index.zone_area_sq_km()
     );
-    let mut deployment = Deployment::new(
+    let mut deployment = ChannelDeployment::new(
         land,
         fleet,
         index,
-        DeploymentConfig {
-            checkin_interval: SimDuration::from_secs(60),
-            ..Default::default()
+        ChannelConfig {
+            // Check in once a minute (the default, spelled out to show
+            // where the cadence is set).
+            deployment: DeploymentConfig {
+                checkin_interval: SimDuration::from_secs(60),
+                ..Default::default()
+            },
+            ..perfect_link()
         },
     );
 

@@ -1,16 +1,12 @@
 #!/usr/bin/env bash
 # Regenerates the machine-readable performance baseline
-# (results/BENCH_core.json) and, optionally, the full criterion suite.
+# (results/BENCH_core.json). The end-to-end pipeline benchmark is
+# separate: python3 perfbench/run.py (see perfbench/README.md).
 #
-#   scripts/bench.sh            # baseline only (~1 min)
-#   scripts/bench.sh --full     # baseline + cargo bench
+#   scripts/bench.sh            # baseline (~1 min)
 #
 # Pin the worker count with WISCAPE_THREADS=N.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo run -p wiscape-bench --release --bin baseline
-
-if [[ "${1:-}" == "--full" ]]; then
-    cargo bench -p wiscape-bench
-fi

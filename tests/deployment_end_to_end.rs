@@ -1,10 +1,11 @@
 //! End-to-end integration: the full WiScape loop (fleet → coordinator →
-//! agents → published map) against the simulated landscape, validated
-//! against ground truth — the system-level version of the paper's Fig 8.
+//! agents → published map, over a perfect control channel) against the
+//! simulated landscape, validated against ground truth — the
+//! system-level version of the paper's Fig 8.
 
 use wiscape::prelude::*;
 
-fn build_deployment(seed: u64) -> Deployment {
+fn build_deployment(seed: u64) -> ChannelDeployment {
     let land = Landscape::new(LandscapeConfig::madison(seed));
     let mut fleet = Fleet::new(seed);
     fleet
@@ -12,15 +13,7 @@ fn build_deployment(seed: u64) -> Deployment {
         .add_static_spot(land.origin())
         .add_static_spot(land.origin().destination(1.0, 2000.0));
     let index = ZoneIndex::around(land.origin(), 7000.0).unwrap();
-    Deployment::new(
-        land,
-        fleet,
-        index,
-        DeploymentConfig {
-            checkin_interval: SimDuration::from_secs(60),
-            ..Default::default()
-        },
-    )
+    ChannelDeployment::new(land, fleet, index, perfect_link())
 }
 
 #[test]
@@ -86,13 +79,16 @@ fn alerts_fire_for_the_stadium_event_zone() {
     let mut fleet = Fleet::new(103);
     fleet.add_static_spot(stadium);
     let index = ZoneIndex::around(land.origin(), 7000.0).unwrap();
-    let mut d = Deployment::new(
+    let mut d = ChannelDeployment::new(
         land,
         fleet,
         index,
-        DeploymentConfig {
-            checkin_interval: SimDuration::from_secs(45),
-            ..Default::default()
+        ChannelConfig {
+            deployment: DeploymentConfig {
+                checkin_interval: SimDuration::from_secs(45),
+                ..Default::default()
+            },
+            ..perfect_link()
         },
     );
     // Saturday 08:00 through 16:00 covers pre-game, game, post-game.
