@@ -111,8 +111,10 @@ struct IngestRates {
     coordinator_reports_s: f64,
     /// Samples folded per second on that path (`reports * 20`).
     coordinator_samples_s: f64,
-    /// `ChannelServer::handle_report` calls per second: dedup +
-    /// immediate commit + ack construction, fresh sequence per call.
+    /// `ChannelServer::receive` calls per second on pre-encoded
+    /// one-report frames: decode + dedup + immediate commit + ack
+    /// frame, fresh sequence per call (the server is replaced by a
+    /// fresh one every `SERVER_FRAMES` frames, inside the timing).
     server_reports_s: f64,
     /// `(zone, network)` cells tracked after the runs.
     zones_tracked: usize,
@@ -398,9 +400,12 @@ fn channel_rates() -> ChannelRates {
     }
 }
 
+/// Distinct report frames `ingest_rates` cycles through one server.
+const SERVER_FRAMES: u64 = 4096;
+
 fn ingest_rates() -> IngestRates {
     use wiscape_channel::codec::ReportMsg;
-    use wiscape_channel::{ChannelServer, CommitPolicy};
+    use wiscape_channel::{encode, ChannelServer, CommitPolicy, WireMessage};
     use wiscape_core::{Coordinator, CoordinatorConfig, MeasurementTask, SampleReport, ZoneIndex};
     use wiscape_geo::{BoundingBox, GeoPoint};
     use wiscape_mobility::ClientId;
@@ -450,21 +455,32 @@ fn ingest_rates() -> IngestRates {
         );
     });
 
-    let mut server = ChannelServer::new(
-        Coordinator::new(index, CoordinatorConfig::default()),
-        CommitPolicy::Immediate,
-        StreamRng::new(11).fork("deployment"),
-        vec![NetworkId::NetA, NetworkId::NetB],
-    );
+    let fresh_server = || {
+        ChannelServer::new(
+            Coordinator::new(index.clone(), CoordinatorConfig::default()),
+            CommitPolicy::Immediate,
+            StreamRng::new(11).fork("deployment"),
+            vec![NetworkId::NetA, NetworkId::NetB],
+        )
+    };
+    let frames: Vec<Vec<u8>> = (0..SERVER_FRAMES)
+        .map(|seq| {
+            encode(&WireMessage::Report(ReportMsg {
+                seq,
+                report: reports[usize::try_from(seq).unwrap_or(0) % reports.len()].clone(),
+            }))
+        })
+        .collect();
+    let mut server = fresh_server();
     let now = SimTime::at(1, 9.5);
-    let mut seq = 0u64;
+    let mut next = 0usize;
     let server_reports_s = rate(budget, || {
-        seq += 1;
-        let msg = ReportMsg {
-            seq,
-            report: reports[usize::try_from(seq).unwrap_or(0) % reports.len()].clone(),
-        };
-        black_box(server.handle_report(msg, now));
+        if next == frames.len() {
+            server = fresh_server();
+            next = 0;
+        }
+        black_box(server.receive(black_box(&frames[next]), now));
+        next += 1;
     });
 
     debug_assert_eq!(

@@ -18,8 +18,8 @@
 use wiscape_channel::codec::{encode, ReportMsg, WireMessage};
 use wiscape_channel::{ChannelServer, CommitPolicy};
 use wiscape_core::{
-    state_fingerprint, Coordinator, CoordinatorConfig, MeasurementTask, SampleReport, ShardSet,
-    ZoneIndex,
+    state_fingerprint, Coordinator, CoordinatorConfig, CoordinatorHandle, MeasurementTask,
+    SampleReport, ShardSet, ZoneIndex,
 };
 use wiscape_geo::{BoundingBox, GeoPoint};
 use wiscape_mobility::ClientId;
@@ -175,7 +175,7 @@ fn nation_scale_sharded_merge_matches_single() {
     }
     let end = SimTime::at(1, 10.0);
     single.flush(end);
-    sharded.flush(end);
+    sharded.flush_tagged(end);
 
     assert!(
         single.zones_tracked() >= 100_000,

@@ -260,7 +260,7 @@ impl ChannelDeployment {
 impl ChannelDeployment<ShardedChannelServer> {
     /// [`ChannelDeployment::new`] over `shards` zone-range shards (an
     /// even split of the index), each a plain [`Coordinator`] behind
-    /// its own per-shard server.
+    /// one `ShardSet` router.
     pub fn sharded(
         land: Landscape,
         fleet: Fleet,
@@ -323,7 +323,7 @@ impl<C: CoordinatorHandle> ChannelDeployment<ShardedChannelServer<C>> {
         self.server.handles_mut()
     }
 
-    /// The sharded endpoint (assignment, per-shard servers).
+    /// The sharded endpoint (assignment, per-shard views).
     pub fn sharded_server(&self) -> &ShardedChannelServer<C> {
         &self.server
     }

@@ -18,6 +18,9 @@
 //! * [`server`] — coordinator-side decode, `(client, seq)` dedup, and
 //!   idempotent ingest, so at-least-once delivery never double-counts a
 //!   sample;
+//! * [`shard`] — the sharded endpoint: that same server over a
+//!   `wiscape_core::ShardSet` router of N zone-range shards, merging to
+//!   state bitwise-identical to one coordinator;
 //! * [`deployment`] — the deployment control loop (§3.4) over the
 //!   channel: it reproduces a direct-call loop bit for bit under
 //!   [`perfect_link`], and degrades gracefully (and reproducibly) under

@@ -1,7 +1,10 @@
 //! Coordinator-side channel endpoint: decode, dedup, idempotent ingest.
 //!
-//! The [`ChannelServer`] wraps a [`Coordinator`] behind the wire
-//! protocol. Its contract with the lossy transport:
+//! The [`ChannelServer`] wraps a [`CoordinatorHandle`] behind the wire
+//! protocol: a plain [`Coordinator`], a WAL-backed one, or a
+//! `ShardSet` router over N zone-range shards, so the sharded endpoint
+//! runs this same decode/dedup/watermark/ack code. Its contract with
+//! the lossy transport:
 //!
 //! * **at-least-once in, exactly-once through** — every received report
 //!   is acknowledged (even rejected ones, so clients stop retrying),
@@ -40,8 +43,8 @@ use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::NetworkId;
 
 use crate::codec::{
-    encode, encode_ack_one, AckMsg, CheckinRequest, FrameReader, ReportView, TaskAssignment,
-    WireMessage, WireMessageRef,
+    encode, encode_ack_one, CheckinRequest, FrameReader, ReportView, TaskAssignment, WireMessage,
+    WireMessageRef,
 };
 
 /// When deduplicated reports are committed into the coordinator.
@@ -117,17 +120,18 @@ fn server_obs() -> &'static ServerObs {
 
 /// What the deployment loop needs from a server-side endpoint.
 ///
-/// [`ChannelServer`] is the single-coordinator implementation;
-/// `ShardedChannelServer` (`crate::shard`) routes the same wire traffic
-/// across N zone-range shards. The deployment is generic over this
-/// trait, so the *control loop* is provably identical in both
-/// topologies — only the endpoint behind `receive` changes.
+/// [`ChannelServer`] is the one implementation of the wire path, over a
+/// single coordinator or over a `ShardSet` router;
+/// `ShardedChannelServer` (`crate::shard`) forwards to a
+/// `ChannelServer<ShardSet<C>>` and adds the topology accessors. The
+/// deployment is generic over this trait, so the *control loop* is
+/// provably identical in both topologies.
 ///
-/// Quota/epoch updates go through the endpoint (not the coordinator
-/// handle directly) so a sharded endpoint can make the routing decision
-/// exactly once at the router: a zone's tuning lands on the one shard
-/// that owns the zone, never broadcast (a broadcast would materialize
-/// the cell on every shard and corrupt the merged state).
+/// Quota/epoch updates go through the endpoint to the coordinator
+/// handle, never around it: a WAL-backed handle logs them, and a
+/// `ShardSet` routes each to the one shard that owns the zone (a
+/// broadcast would materialize the cell on every shard and corrupt the
+/// merged state).
 pub trait ServerEndpoint {
     /// Handles one received transmission, returning reply frames.
     fn receive(&mut self, bytes: &[u8], now: SimTime) -> Vec<Vec<u8>>;
@@ -189,6 +193,12 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
     /// The wrapped coordinator (and its published map).
     pub fn coordinator(&self) -> &Coordinator {
         self.coordinator.as_coordinator()
+    }
+
+    /// The coordinator handle (for a [`ShardSet`](wiscape_core::ShardSet)
+    /// router: its shards and assignment).
+    pub fn handle(&self) -> &C {
+        &self.coordinator
     }
 
     /// Mutable access to the coordinator handle, for tuner
@@ -295,7 +305,7 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
     /// Processes a check-in, deriving the task-issuance coin from the
     /// client's own check-in counter so the decision is reproducible
     /// even when some check-ins are lost in transit.
-    pub fn handle_checkin(&mut self, req: &CheckinRequest) -> Vec<TaskAssignment> {
+    fn handle_checkin(&mut self, req: &CheckinRequest) -> Vec<TaskAssignment> {
         self.meters.checkins += 1;
         server_obs().checkins.inc();
         let coin = self
@@ -319,38 +329,12 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
             .collect()
     }
 
-    /// Dedups and (per policy) commits one report copy; always returns
-    /// the ack so the client stops retrying regardless of outcome.
-    pub fn handle_report(&mut self, msg: crate::codec::ReportMsg, now: SimTime) -> AckMsg {
-        let client = msg.report.client;
-        let fresh = self.seen.entry(client).or_default().insert(msg.seq);
-        if fresh {
-            match self.policy {
-                CommitPolicy::Immediate => self.commit(&msg.report, msg.seq),
-                CommitPolicy::Watermark(_) => {
-                    self.staged
-                        .insert((msg.report.t, client, msg.seq), msg.report);
-                }
-            }
-        } else {
-            self.meters.duplicates_dropped += 1;
-            server_obs().duplicates_dropped.inc();
-        }
-        if let CommitPolicy::Watermark(settle) = self.policy {
-            self.advance(now, settle);
-        }
-        AckMsg {
-            client,
-            seqs: vec![msg.seq],
-        }
-    }
-
-    /// [`ChannelServer::handle_report`] for a borrowed frame view: same
-    /// dedup and commit policy, but on the immediate path the samples
-    /// fold straight from the wire bytes into the zone sketch — no
-    /// owned `SampleReport`, no `Vec<f64>` (lint rule S004 keeps this
-    /// function allocation-free). The caller acks separately via
-    /// [`encode_ack_one`].
+    /// Dedups and (per policy) commits one report copy from its borrowed
+    /// frame view. On the immediate path the samples fold straight from
+    /// the wire bytes into the zone sketch — no owned `SampleReport`, no
+    /// `Vec<f64>` (lint rule S004 keeps this function allocation-free).
+    /// The caller acks every copy via [`encode_ack_one`], whatever the
+    /// outcome, so the client stops retrying.
     pub fn handle_report_view(&mut self, view: &ReportView<'_>, now: SimTime) {
         let client = view.client;
         let fresh = self.seen.entry(client).or_default().insert(view.seq);
@@ -481,7 +465,7 @@ impl<C: CoordinatorHandle> ServerEndpoint for ChannelServer<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ReportMsg;
+    use crate::codec::{decode, AckMsg, ReportMsg};
     use wiscape_core::{CoordinatorConfig, MeasurementTask, ZoneIndex};
     use wiscape_geo::GeoPoint;
     use wiscape_simnet::TransportKind;
@@ -520,13 +504,29 @@ mod tests {
         }
     }
 
+    /// The sequences acked by a reply (one ack frame per report copy).
+    fn acked(replies: &[Vec<u8>]) -> Vec<u64> {
+        match replies {
+            [frame] => match decode(frame).unwrap() {
+                WireMessage::Ack(a) => a.seqs,
+                other => panic!("{other:?}"),
+            },
+            _ => panic!("one reply frame expected, got {}", replies.len()),
+        }
+    }
+
     #[test]
     fn duplicates_never_double_count() {
         let mut s = server(CommitPolicy::Immediate);
-        let msg = report_msg(&s, 0, SimTime::EPOCH, 100.0);
+        let frame = encode(&WireMessage::Report(report_msg(
+            &s,
+            0,
+            SimTime::EPOCH,
+            100.0,
+        )));
         for _ in 0..5 {
-            let ack = s.handle_report(msg.clone(), SimTime::EPOCH);
-            assert_eq!(ack.seqs, vec![0], "every copy is acked");
+            let ack = acked(&s.receive(&frame, SimTime::EPOCH));
+            assert_eq!(ack, vec![0], "every copy is acked");
         }
         assert_eq!(s.meters().reports_ingested, 1);
         assert_eq!(s.meters().duplicates_dropped, 4);
@@ -542,10 +542,11 @@ mod tests {
         let mut s = server(CommitPolicy::Immediate);
         let mut msg = report_msg(&s, 7, SimTime::EPOCH, 1.0);
         msg.report.samples.clear(); // empty -> coordinator rejects
-        let ack = s.handle_report(msg.clone(), SimTime::EPOCH);
-        assert_eq!(ack.seqs, vec![7]);
+        let frame = encode(&WireMessage::Report(msg));
+        let ack = acked(&s.receive(&frame, SimTime::EPOCH));
+        assert_eq!(ack, vec![7]);
         assert_eq!(s.meters().reports_rejected, 1);
-        s.handle_report(msg, SimTime::EPOCH);
+        s.receive(&frame, SimTime::EPOCH);
         assert_eq!(s.meters().duplicates_dropped, 1);
         assert_eq!(s.meters().reports_rejected, 1, "rejection not repeated");
     }
@@ -557,7 +558,7 @@ mod tests {
             for &seq in arrival_order {
                 let t = SimTime::from_secs(i64::try_from(seq).unwrap() * 60);
                 let msg = report_msg(&s, seq, t, 100.0 + 7.0 * (seq as f64));
-                s.handle_report(msg, t);
+                s.receive(&encode(&WireMessage::Report(msg)), t);
             }
             s.drain(SimTime::from_secs(3600));
             let zone = s.coordinator().index().zone_of(&center());
@@ -605,7 +606,7 @@ mod tests {
             }
         }
         assert!(!issued.is_empty(), "some coin under p within 200 ticks");
-        match crate::codec::decode(&issued[0]).unwrap() {
+        match decode(&issued[0]).unwrap() {
             WireMessage::Task(a) => {
                 assert_eq!(a.client, ClientId(2));
                 assert_eq!(a.task.n_packets, 20);

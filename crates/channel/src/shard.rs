@@ -1,123 +1,68 @@
-//! Sharded coordinator endpoint: N zone-range shards behind one router.
+//! Sharded coordinator endpoint: the single-server wire path over one
+//! shard router.
 //!
-//! [`ShardedChannelServer`] implements [`ServerEndpoint`] over a vector
-//! of per-shard [`ChannelServer`]s, one per [`CoordinatorHandle`]. The
-//! router owns everything whose correctness is *global*:
+//! [`ShardedChannelServer`] is a [`ChannelServer`] whose coordinator
+//! handle is a [`ShardSet`]. Decode, `(client, seq)` dedup, watermark
+//! staging and acks are the single server's code, run once at the
+//! front; the `ShardSet` routes each committed operation to the shard
+//! owning its zone, keeps the alert merge, and serves the merged view.
+//! Dedup and staging are therefore global: a retry straddling a
+//! rebalance still dedups, and reports settle in the single server's
+//! `(t, client, seq)` order whichever shard they land on.
 //!
-//! * **dedup** — the `(client, seq)` seen-set lives at the router, so a
-//!   report retried across a rebalance cannot double-count even if its
-//!   zone has moved to a different shard between copies;
-//! * **watermark staging** — reports settle in one global
-//!   `(t, client, seq)` order, exactly the single-server order; inner
-//!   servers always run [`CommitPolicy::Immediate`] and see each unique
-//!   report exactly once;
-//! * **quota/epoch tuning** — a tuned value is routed to the one shard
-//!   that owns the zone (never broadcast: a broadcast would materialize
-//!   the cell on multiple shards and corrupt the merged state);
-//! * **alert ordering** — an [`AlertMerge`] snapshots each shard's
-//!   alert stream after every routed operation, reconstructing the
-//!   chronological interleaving a single coordinator would have logged.
-//!
-//! **Determinism argument.** Every non-flush coordinator operation
-//! touches exactly one `(zone, network)` cell, and routing preserves
-//! each cell's operation subsequence; per-cell state is therefore
-//! bitwise-identical to the single-coordinator run. Task coins are
-//! drawn from the *same* `fork("coin").fork_idx(tick).fork_idx(client)`
-//! path on whichever shard the check-in lands (all inner servers are
-//! seeded with the same stream), so issuance decisions match bit for
-//! bit. Merging sorts cells by `(zone, network)` — the single
-//! coordinator's storage order — and the alert merge restores the
-//! global alert sequence, so
-//! [`merge_states`] fingerprints equal for any shard count, any owner
-//! permutation, and any mid-stream rebalance.
-
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+//! **Determinism argument.** The endpoint makes the same handle calls
+//! in the same order as a single server fed the same frames, including
+//! the task coins, which the one front draws. The router's per-cell
+//! argument (see `wiscape_core::shard`) then makes the merged state
+//! bitwise-identical for any shard count, any owner permutation and
+//! any mid-stream rebalance.
 
 use wiscape_core::{
-    merge_states, AlertMerge, Coordinator, CoordinatorConfig, CoordinatorHandle, RebalanceMove,
-    SampleReport, ShardAssignment, ZoneId, ZoneIndex,
+    Coordinator, CoordinatorConfig, CoordinatorHandle, RebalanceMove, ShardAssignment, ShardSet,
+    ZoneId, ZoneIndex,
 };
-use wiscape_mobility::ClientId;
 use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::NetworkId;
 
-use crate::codec::{encode, encode_ack_one, FrameReader, ReportMsg, WireMessage, WireMessageRef};
 use crate::server::{ChannelServer, CommitPolicy, ServerEndpoint, ServerMeters};
 
-/// Router-side obs handles. Counter names are shared with the
-/// single-server endpoint (`channel/server_*`) and the core shard tier
-/// (`shard/*`): the obs registry dedups by name, so sharded and
-/// unsharded runs report through the same counters.
-struct RouterObs {
-    frames_received: wiscape_obs::Counter,
-    bytes_received: wiscape_obs::Counter,
-    decode_errors: wiscape_obs::Counter,
-    duplicates_dropped: wiscape_obs::Counter,
-    acks_sent: wiscape_obs::Counter,
-    bytes_sent: wiscape_obs::Counter,
-    checkins_routed: wiscape_obs::Counter,
-    reports_routed: wiscape_obs::Counter,
-    rebalances: wiscape_obs::Counter,
-    cells_migrated: wiscape_obs::Counter,
-    merges: wiscape_obs::Counter,
-    shards: wiscape_obs::Gauge,
-}
-
-fn router_obs() -> &'static RouterObs {
-    static M: OnceLock<RouterObs> = OnceLock::new();
-    M.get_or_init(|| RouterObs {
-        frames_received: wiscape_obs::counter("channel/server_frames_received"),
-        bytes_received: wiscape_obs::counter("channel/server_bytes_received"),
-        decode_errors: wiscape_obs::counter("channel/server_decode_errors"),
-        duplicates_dropped: wiscape_obs::counter("channel/server_duplicates_dropped"),
-        acks_sent: wiscape_obs::counter("channel/server_acks_sent"),
-        bytes_sent: wiscape_obs::counter("channel/server_bytes_sent"),
-        checkins_routed: wiscape_obs::counter("shard/checkins_routed"),
-        reports_routed: wiscape_obs::counter("shard/reports_routed"),
-        rebalances: wiscape_obs::counter("shard/rebalances"),
-        cells_migrated: wiscape_obs::counter("shard/cells_migrated"),
-        merges: wiscape_obs::counter("shard/merges"),
-        shards: wiscape_obs::gauge("shard/shards_max"),
-    })
-}
-
-/// N per-shard [`ChannelServer`]s behind a deterministic router.
-///
-/// See the module docs for the determinism argument. The router's
-/// [`ServerEndpoint::meters`] aggregates its own counters (frames,
-/// dedup, acks) with the per-shard ingest counters, so a sharded run
-/// reports the exact [`ServerMeters`] a single server would.
+/// The wire endpoint over N zone-range shards: a [`ChannelServer`]
+/// over one [`ShardSet`]. See the module docs for the determinism
+/// argument; its [`ServerEndpoint::meters`] are the front server's,
+/// exactly the meters a single server would report.
 #[derive(Debug)]
-pub struct ShardedChannelServer<C: CoordinatorHandle = Coordinator> {
-    shards: Vec<ChannelServer<C>>,
-    assignment: ShardAssignment,
-    merge: AlertMerge,
-    policy: CommitPolicy,
-    /// Global dedup: seq sets per client, shared across shards so a
-    /// retry straddling a rebalance still dedups.
-    seen: BTreeMap<ClientId, BTreeSet<u64>>,
-    /// Global watermark staging in `(t, client, seq)` order.
-    staged: BTreeMap<(SimTime, ClientId, u64), SampleReport>,
-    /// Router-side counters (frames, dedup, acks); per-shard ingest
-    /// counters live in the inner servers and are summed in `meters`.
-    meters: ServerMeters,
-    /// Cached merged view, refreshed on [`ServerEndpoint::drain`] and
-    /// [`ShardedChannelServer::refresh_merged`]. Mid-run reads only use
-    /// its immutable zone index, which never changes.
-    merged: Coordinator,
+pub struct ShardedChannelServer<C: CoordinatorHandle = Coordinator>(ChannelServer<ShardSet<C>>);
+
+/// One shard's read-only view, for topology reports.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardServer<'a> {
+    coordinator: &'a Coordinator,
+    reports_ingested: u64,
+}
+
+impl<'a> ShardServer<'a> {
+    /// The shard's coordinator.
+    pub fn coordinator(&self) -> &'a Coordinator {
+        self.coordinator
+    }
+
+    /// The shard's meters: `reports_ingested` counts the reports this
+    /// shard folded. Every other counter is the endpoint's and reads 0
+    /// here.
+    pub fn meters(&self) -> ServerMeters {
+        ServerMeters {
+            reports_ingested: self.reports_ingested,
+            ..ServerMeters::default()
+        }
+    }
 }
 
 impl<C: CoordinatorHandle> ShardedChannelServer<C> {
-    /// Builds the router over `coordinators` (one per shard) and their
-    /// zone-range `assignment`.
-    ///
-    /// `stream` must be the deployment-rooted fork a single server
-    /// would get: every inner server is seeded with the *same* stream,
-    /// so the task coin for a `(tick, client)` pair is identical on
-    /// whichever shard the check-in routes to. Inner servers always
-    /// commit [`CommitPolicy::Immediate`]; `policy` governs the
-    /// router's global staging instead.
+    /// Builds the endpoint over `coordinators` (one per shard) and their
+    /// zone-range `assignment`. `index` and `config` are the ones every
+    /// coordinator was built with. `stream` is the deployment-rooted
+    /// fork a single server would get, and `policy` governs the one
+    /// dedup/staging front.
     pub fn new(
         coordinators: Vec<C>,
         assignment: ShardAssignment,
@@ -127,281 +72,97 @@ impl<C: CoordinatorHandle> ShardedChannelServer<C> {
         stream: StreamRng,
         networks: Vec<NetworkId>,
     ) -> Self {
-        let shards: Vec<ChannelServer<C>> = coordinators
-            .into_iter()
-            .map(|c| ChannelServer::new(c, CommitPolicy::Immediate, stream, networks.clone()))
-            .collect();
-        let n = shards.len();
-        router_obs().shards.set_max(n as f64);
-        Self {
-            shards,
-            assignment,
-            merge: AlertMerge::new(n),
-            policy,
-            seen: BTreeMap::new(),
-            staged: BTreeMap::new(),
-            meters: ServerMeters::default(),
-            merged: Coordinator::new(index, config),
-        }
+        let router = ShardSet::from_handles(coordinators, assignment, index, config);
+        Self(ChannelServer::new(router, policy, stream, networks))
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn router(&self) -> &ShardSet<C> {
+        self.0.handle()
     }
 
     /// The zone-range ownership map.
     pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
+        self.router().assignment()
     }
 
-    /// The per-shard servers (read-only; for topology reports).
-    pub fn servers(&self) -> &[ChannelServer<C>] {
-        &self.shards
+    /// Per-shard views, in shard order.
+    pub fn servers(&self) -> Vec<ShardServer<'_>> {
+        let router = self.router();
+        router
+            .shards()
+            .iter()
+            .zip(router.shard_reports())
+            .map(|(c, &reports_ingested)| ShardServer {
+                coordinator: c.as_coordinator(),
+                reports_ingested,
+            })
+            .collect()
     }
 
     /// Mutable per-shard coordinator handles, in shard order (for
     /// WAL-backed shards: shutdown, meters, forced snapshots).
     pub fn handles_mut(&mut self) -> impl Iterator<Item = &mut C> + '_ {
-        self.shards.iter_mut().map(|s| s.handle_mut())
+        self.0.handle_mut().shards_mut().iter_mut()
     }
 
-    /// Total distinct `(client, seq)` sequences ever accepted at the
-    /// router (the dedup invariant holds across shards and rebalances).
+    /// Total distinct `(client, seq)` sequences ever accepted (one
+    /// seen-set for all shards, so the invariant holds across
+    /// rebalances).
     pub fn unique_seqs(&self) -> u64 {
-        self.seen
-            .values()
-            .map(|s| u64::try_from(s.len()).unwrap_or(u64::MAX))
-            .sum()
+        self.0.unique_seqs()
     }
 
-    /// Reports staged at the router awaiting the global watermark.
+    /// Reports staged awaiting the watermark.
     pub fn staged_len(&self) -> usize {
-        self.staged.len()
+        self.0.staged_len()
     }
 
-    /// Moves the zone range `[mv.lo, mv.hi]` from shard `mv.from` to
-    /// `mv.to`, returning the number of migrated cells. The move is
-    /// validated against the assignment *before* any cell leaves its
-    /// shard, so an inapplicable move is a no-op (returns 0).
-    ///
-    /// With WAL-backed handles this logs a `MigrateOut` on the source
-    /// and a `MigrateIn` on the destination, so both logs replay to the
-    /// post-migration ownership.
+    /// Moves the zone range `[mv.lo, mv.hi]` between shards; see
+    /// [`ShardSet::rebalance`].
     pub fn rebalance(&mut self, mv: &RebalanceMove) -> usize {
-        let mut next = self.assignment.clone();
-        if !next.apply(mv) {
-            return 0;
-        }
-        let cells = match self.shards.get_mut(mv.from) {
-            Some(src) => src.handle_mut().migrate_out_tagged(mv.lo, mv.hi),
-            None => return 0,
-        };
-        let n = cells.len();
-        if let Some(dst) = self.shards.get_mut(mv.to) {
-            dst.handle_mut().migrate_in_tagged(cells);
-        }
-        self.assignment = next;
-        let obs = router_obs();
-        obs.rebalances.inc();
-        obs.cells_migrated.add(u64::try_from(n).unwrap_or(u64::MAX));
-        n
+        self.0.handle_mut().rebalance(mv)
     }
 
-    /// Re-merges per-shard states into the cached merged coordinator.
-    /// Called automatically by [`ServerEndpoint::drain`]; call manually
-    /// after a mid-run rebalance if the merged view is read before the
-    /// next drain.
+    /// Re-merges the shards into the merged view; see
+    /// [`ShardSet::refresh_merged`].
     pub fn refresh_merged(&mut self) {
-        let states = self.shards.iter().map(|s| s.coordinator().export_state());
-        let merged = merge_states(states, self.merge.merged().to_vec());
-        self.merged.restore_state(merged);
-    }
-
-    /// Snapshots `shard`'s alert stream into the merge after a routed
-    /// operation (any new alerts are stamped at the current cursor, so
-    /// cross-shard chronology is preserved).
-    fn note_alerts(&mut self, shard: usize) {
-        if let Some(srv) = self.shards.get(shard) {
-            self.merge.note(shard, srv.coordinator().alerts());
-        }
-    }
-
-    /// Routes one unique report to the shard owning its zone.
-    fn commit_routed(&mut self, report: SampleReport, seq: u64, now: SimTime) {
-        let shard = self.assignment.shard_of(report.zone);
-        if let Some(srv) = self.shards.get_mut(shard) {
-            // The copy was acked on arrival; the inner ack is dropped.
-            let _ = srv.handle_report(ReportMsg { seq, report }, now);
-        }
-        router_obs().reports_routed.inc();
-        self.note_alerts(shard);
-    }
-
-    /// Commits staged reports older than the settle window, in global
-    /// `(t, client, seq)` order — the single-server commit order.
-    fn release_settled(&mut self, now: SimTime, settle: SimDuration) {
-        while let Some((&key, _)) = self.staged.iter().next() {
-            if now - key.0 < settle {
-                break;
-            }
-            if let Some(report) = self.staged.remove(&key) {
-                self.commit_routed(report, key.2, now);
-            }
-        }
+        self.0.handle_mut().refresh_merged();
     }
 }
 
 impl<C: CoordinatorHandle> ServerEndpoint for ShardedChannelServer<C> {
     fn receive(&mut self, bytes: &[u8], now: SimTime) -> Vec<Vec<u8>> {
-        let obs = router_obs();
-        self.meters.frames_received += 1;
-        obs.frames_received.inc();
-        let nbytes = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
-        self.meters.bytes_received += nbytes;
-        obs.bytes_received.add(nbytes);
-        // Same whole-transmission validation as the single server: a
-        // torn byte anywhere drops the entire transmission.
-        let mut msgs: Vec<WireMessageRef<'_>> = Vec::new();
-        for item in FrameReader::new(bytes) {
-            match item {
-                Ok(msg) => msgs.push(msg),
-                Err(_) => {
-                    self.meters.decode_errors += 1;
-                    obs.decode_errors.inc();
-                    return Vec::new();
-                }
-            }
-        }
-        let mut replies = Vec::new();
-        for msg in msgs {
-            match msg {
-                WireMessageRef::Checkin(req) => {
-                    let zone = self.merged.index().zone_of(&req.point);
-                    let shard = self.assignment.shard_of(zone);
-                    let assignments = match self.shards.get_mut(shard) {
-                        Some(srv) => srv.handle_checkin(&req),
-                        None => Vec::new(),
-                    };
-                    obs.checkins_routed.inc();
-                    self.note_alerts(shard);
-                    for assignment in assignments {
-                        let frame = encode(&WireMessage::Task(assignment));
-                        let fbytes = u64::try_from(frame.len()).unwrap_or(u64::MAX);
-                        self.meters.bytes_sent += fbytes;
-                        obs.bytes_sent.add(fbytes);
-                        replies.push(frame);
-                    }
-                }
-                WireMessageRef::Report(view) => {
-                    let (client, seq) = (view.client, view.seq);
-                    // Global dedup at the router: an inner server only
-                    // ever sees the first copy of a sequence.
-                    let fresh = self.seen.entry(client).or_default().insert(seq);
-                    if fresh {
-                        match self.policy {
-                            CommitPolicy::Immediate => {
-                                let msg = view.to_msg();
-                                self.commit_routed(msg.report, msg.seq, now);
-                            }
-                            CommitPolicy::Watermark(_) => {
-                                let msg = view.to_msg();
-                                self.staged
-                                    .insert((msg.report.t, client, msg.seq), msg.report);
-                            }
-                        }
-                    } else {
-                        self.meters.duplicates_dropped += 1;
-                        obs.duplicates_dropped.inc();
-                    }
-                    if let CommitPolicy::Watermark(settle) = self.policy {
-                        self.release_settled(now, settle);
-                    }
-                    let frame = encode_ack_one(client, seq);
-                    self.meters.acks_sent += 1;
-                    obs.acks_sent.inc();
-                    let fbytes = u64::try_from(frame.len()).unwrap_or(u64::MAX);
-                    self.meters.bytes_sent += fbytes;
-                    obs.bytes_sent.add(fbytes);
-                    replies.push(frame);
-                }
-                WireMessageRef::Task(_) | WireMessageRef::Ack(_) => {
-                    self.meters.decode_errors += 1;
-                    obs.decode_errors.inc();
-                }
-            }
-        }
-        replies
+        self.0.receive(bytes, now)
     }
 
     fn drain(&mut self, end: SimTime) {
-        // Commit all staged reports in global order first, then flush
-        // every shard; the alert merge absorbs each shard's sorted
-        // flush alerts into one (zone, network)-sorted tail, exactly
-        // the single coordinator's flush order.
-        while let Some((&key, _)) = self.staged.iter().next() {
-            if let Some(report) = self.staged.remove(&key) {
-                self.commit_routed(report, key.2, end);
-            }
-        }
-        for srv in &mut self.shards {
-            ChannelServer::drain(srv, end);
-        }
-        let slices: Vec<&[_]> = self
-            .shards
-            .iter()
-            .map(|s| s.coordinator().alerts())
-            .collect();
-        self.merge.note_flush(&slices);
-        router_obs().merges.inc();
-        self.refresh_merged();
+        self.0.drain(end);
     }
 
     fn meters(&self) -> ServerMeters {
-        let mut m = self.meters;
-        for s in &self.shards {
-            let i = s.meters();
-            m.frames_received += i.frames_received;
-            m.bytes_received += i.bytes_received;
-            m.decode_errors += i.decode_errors;
-            m.checkins += i.checkins;
-            m.tasks_sent += i.tasks_sent;
-            m.duplicates_dropped += i.duplicates_dropped;
-            m.reports_ingested += i.reports_ingested;
-            m.reports_rejected += i.reports_rejected;
-            m.acks_sent += i.acks_sent;
-            m.bytes_sent += i.bytes_sent;
-        }
-        m
+        self.0.meters()
     }
 
     fn coordinator(&self) -> &Coordinator {
-        &self.merged
+        self.0.coordinator()
     }
 
     fn set_zone_quota(&mut self, zone: ZoneId, network: NetworkId, quota: u32) {
-        // Route once, at the router: exactly one shard owns the zone,
-        // so exactly one cell materializes — broadcast would create the
-        // cell on every shard and double it in the merged state.
-        let shard = self.assignment.shard_of(zone);
-        if let Some(srv) = self.shards.get_mut(shard) {
-            srv.handle_mut().set_zone_quota_tagged(zone, network, quota);
-        }
+        ServerEndpoint::set_zone_quota(&mut self.0, zone, network, quota);
     }
 
     fn set_zone_epoch(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration) {
-        let shard = self.assignment.shard_of(zone);
-        if let Some(srv) = self.shards.get_mut(shard) {
-            srv.handle_mut().set_zone_epoch_tagged(zone, network, epoch);
-        }
+        ServerEndpoint::set_zone_epoch(&mut self.0, zone, network, epoch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiscape_core::{state_fingerprint, MeasurementTask};
+    use crate::codec::{encode, ReportMsg, WireMessage};
+    use wiscape_core::{state_fingerprint, MeasurementTask, SampleReport};
     use wiscape_geo::GeoPoint;
+    use wiscape_mobility::ClientId;
     use wiscape_simnet::TransportKind;
 
     fn center() -> GeoPoint {

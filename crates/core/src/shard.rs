@@ -1,13 +1,19 @@
-//! Sharded multi-coordinator scale-out (ROADMAP item 1).
+//! Sharded multi-coordinator scale-out: the one shard router.
 //!
 //! A single [`Coordinator`] folds every zone of the map; at carrier
 //! scale (millions of reporting handsets) the ingest path must scale
 //! horizontally. This module partitions the zone index into **N
-//! contiguous zone ranges**, runs one coordinator per range, and folds
-//! the per-shard state back together with a deterministic merge tier
-//! whose output is provably **bit-identical** to a single-coordinator
-//! run — the same proof discipline as the channel's `perfect_link()`
-//! and the WAL's snapshot+replay recovery.
+//! contiguous zone ranges**, runs one coordinator handle per range, and
+//! folds the per-shard state back together with a deterministic merge
+//! tier whose output is provably **bit-identical** to a
+//! single-coordinator run — the same proof discipline as the channel's
+//! `perfect_link()` and the WAL's snapshot+replay recovery.
+//!
+//! [`ShardSet`] is the only router in the workspace. It implements
+//! [`CoordinatorHandle`], so the channel's wire endpoint runs its
+//! single-server decode/dedup/watermark/ack code over a `ShardSet`
+//! unchanged, and the experiments, benches and tests drive the same
+//! routing, alert merge and rebalance code directly.
 //!
 //! Why this is sound:
 //!
@@ -20,17 +26,20 @@
 //!   to the single-coordinator run.
 //! * The counters are commutative sums, so totals are
 //!   shard-count-invariant.
-//! * Change alerts are chronological. [`AlertMerge`] drains each
+//! * Task coins are drawn once, by the caller, before routing, so an
+//!   issuance decision is spent on exactly one shard.
+//! * Change alerts are chronological. The alert merge drains each
 //!   shard's newly emitted alerts immediately after every routed
 //!   operation, reconstructing the exact single-coordinator alert
 //!   stream; flush alerts (all stamped with the same instant) are
 //!   collected across shards and sorted by `(zone, network)` — the
 //!   precise order a single coordinator's sorted-cell flush emits them.
 //! * Zone-range **rebalancing** moves whole cells between shards via
-//!   [`Coordinator::take_range`] / [`Coordinator::install_cells`]
-//!   (durably: WAL migration records), which does not alter any cell's
-//!   fold, so the merged bytes stay identical across any seeded
-//!   mid-stream move.
+//!   [`CoordinatorHandle::migrate_out_tagged`] /
+//!   [`CoordinatorHandle::migrate_in_tagged`] (durably: WAL migration
+//!   records), which does not alter any cell's fold, so the merged bytes
+//!   stay identical across any seeded mid-stream move. A move is
+//!   validated against the assignment before any cell leaves its shard.
 //!
 //! The shard/merge code is part of the panic-proved surface (lint rule
 //! P001 roots): no indexing, no `unwrap`, total routing.
@@ -39,18 +48,20 @@ use std::sync::OnceLock;
 
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::ClientId;
-use wiscape_simcore::{exec, SimTime, StreamRng};
+use wiscape_simcore::{exec, SimDuration, SimTime, StreamRng};
 use wiscape_simnet::NetworkId;
 
 use crate::coordinator::{
-    ChangeAlert, Coordinator, CoordinatorConfig, CoordinatorState, IngestError, IngestSummary,
-    MeasurementTask, SampleReport,
+    ChangeAlert, Coordinator, CoordinatorConfig, CoordinatorHandle, CoordinatorState, IngestError,
+    IngestSummary, MeasurementTask, SampleReport, ZoneCellState,
 };
 use crate::zone::{ZoneId, ZoneIndex};
 
-/// Obs handles for the shard tier (see `OBSERVABILITY.md`). All
-/// updates are commutative (counter adds, gauge max), so snapshot
-/// totals stay bitwise identical for any worker count.
+/// Obs counters for the shard tier (see `OBSERVABILITY.md`). Counter
+/// adds are commutative, so snapshot totals stay bitwise identical for
+/// any worker count. The `shard/shards_max` gauge is registered at
+/// construction instead: registration allocates, and the routed ingest
+/// path must not (lint rule A001).
 struct ShardMetrics {
     checkins_routed: wiscape_obs::Counter,
     reports_routed: wiscape_obs::Counter,
@@ -58,7 +69,6 @@ struct ShardMetrics {
     rebalances: wiscape_obs::Counter,
     cells_migrated: wiscape_obs::Counter,
     merges: wiscape_obs::Counter,
-    shards: wiscape_obs::Gauge,
 }
 
 fn metrics() -> &'static ShardMetrics {
@@ -70,7 +80,6 @@ fn metrics() -> &'static ShardMetrics {
         rebalances: wiscape_obs::counter("shard/rebalances"),
         cells_migrated: wiscape_obs::counter("shard/cells_migrated"),
         merges: wiscape_obs::counter("shard/merges"),
-        shards: wiscape_obs::gauge("shard/shards_max"),
     })
 }
 
@@ -145,22 +154,30 @@ impl ShardAssignment {
     }
 
     /// Applies a boundary move: the range following `mv.from`'s range
-    /// now begins at `mv.lo`. Returns whether the assignment changed.
-    pub fn apply(&mut self, mv: &RebalanceMove) -> bool {
-        let range = self
-            .starts
-            .partition_point(|s| *s <= mv.lo)
-            .saturating_sub(1);
+    /// now begins at `mv.lo`. The move must carry that range's whole
+    /// tail (every zone of `index` from `mv.lo` up to the old boundary
+    /// lies in `mv.lo..=mv.hi`), or cells would stay on a shard that no
+    /// longer owns their zones. Returns whether the assignment changed.
+    pub fn apply(&mut self, mv: &RebalanceMove, index: &ZoneIndex) -> bool {
+        let after = self.starts.partition_point(|s| *s <= mv.lo);
+        let range = after.saturating_sub(1);
         let next = range.saturating_add(1);
-        let ok = self.owners.get(range).copied() == Some(mv.from)
+        let Some(&boundary) = self.starts.get(next) else {
+            return false;
+        };
+        let whole_tail = after > 0
+            && mv.lo <= mv.hi
+            && mv.hi < boundary
+            && !index.zones().any(|z| z > mv.hi && z < boundary);
+        let ok = whole_tail
+            && self.owners.get(range).copied() == Some(mv.from)
             && self.owners.get(next).copied() == Some(mv.to);
         if ok {
             if let Some(s) = self.starts.get_mut(next) {
                 *s = mv.lo;
-                return true;
             }
         }
-        false
+        ok
     }
 }
 
@@ -228,14 +245,14 @@ impl RebalanceMove {
 /// sorted `(zone, network)` — exactly the order a single coordinator's
 /// sorted-cell flush emits.
 #[derive(Debug, Clone, Default)]
-pub struct AlertMerge {
+pub(crate) struct AlertMerge {
     cursors: Vec<usize>,
     merged: Vec<ChangeAlert>,
 }
 
 impl AlertMerge {
     /// A merge over `shards` per-shard alert logs.
-    pub fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         Self {
             cursors: vec![0; shards],
             merged: Vec::new(),
@@ -244,7 +261,7 @@ impl AlertMerge {
 
     /// Drains shard `shard`'s newly emitted alerts (its log suffix past
     /// this merge's cursor) into the merged stream, in log order.
-    pub fn note(&mut self, shard: usize, alerts: &[ChangeAlert]) {
+    pub(crate) fn note(&mut self, shard: usize, alerts: &[ChangeAlert]) {
         if let Some(cursor) = self.cursors.get_mut(shard) {
             if let Some(new) = alerts.get(*cursor..) {
                 self.merged.extend_from_slice(new);
@@ -255,7 +272,7 @@ impl AlertMerge {
 
     /// Drains every shard's new alerts after a synchronized flush,
     /// appending them in sorted `(zone, network)` order.
-    pub fn note_flush(&mut self, per_shard: &[&[ChangeAlert]]) {
+    pub(crate) fn note_flush(&mut self, per_shard: &[&[ChangeAlert]]) {
         let mut batch: Vec<ChangeAlert> = Vec::new();
         for (shard, alerts) in per_shard.iter().enumerate() {
             if let Some(cursor) = self.cursors.get_mut(shard) {
@@ -270,7 +287,7 @@ impl AlertMerge {
     }
 
     /// The merged chronological alert stream.
-    pub fn merged(&self) -> &[ChangeAlert] {
+    pub(crate) fn merged(&self) -> &[ChangeAlert] {
         &self.merged
     }
 }
@@ -278,8 +295,8 @@ impl AlertMerge {
 /// Folds per-shard exported states into one [`CoordinatorState`]:
 /// cells concatenated and sorted by `(zone, network)` (each cell lives
 /// on exactly one shard), counters summed, the alert stream supplied
-/// by the caller's [`AlertMerge`].
-pub fn merge_states<I>(states: I, alerts: Vec<ChangeAlert>) -> CoordinatorState
+/// by the caller's `AlertMerge`.
+pub(crate) fn merge_states<I>(states: I, alerts: Vec<ChangeAlert>) -> CoordinatorState
 where
     I: IntoIterator<Item = CoordinatorState>,
 {
@@ -375,16 +392,29 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
     out
 }
 
-/// N coordinators over one zone index, with routed operations, a
-/// batched parallel ingest path, seeded rebalancing, and the
-/// deterministic merge back to single-coordinator state.
+/// The shard router: N coordinator handles over contiguous zone ranges
+/// of one index, with seeded rebalancing and the deterministic merge
+/// back to single-coordinator state.
+///
+/// `ShardSet` is itself a [`CoordinatorHandle`]: every tagged operation
+/// routes to the shard owning its zone and drains that shard's new
+/// alerts into the alert merge, so the wire endpoint is the plain
+/// single-coordinator server over a `ShardSet` (one dedup, watermark
+/// and ack implementation for every topology). With WAL-backed handles
+/// each shard logs its own event stream.
+///
+/// [`CoordinatorHandle::as_coordinator`] returns a cached merged view.
+/// [`CoordinatorHandle::flush_tagged`] and [`ShardSet::refresh_merged`]
+/// refresh it; between refreshes only its zone index and config are
+/// current, so mid-run readers use it for zone lookups only.
 #[derive(Debug, Clone)]
-pub struct ShardSet {
-    shards: Vec<Coordinator>,
+pub struct ShardSet<C: CoordinatorHandle = Coordinator> {
+    shards: Vec<C>,
+    /// Reports each shard folded (accepted), in shard order.
+    ingested: Vec<u64>,
     assignment: ShardAssignment,
     merge: AlertMerge,
-    index: ZoneIndex,
-    config: CoordinatorConfig,
+    merged: Coordinator,
 }
 
 impl ShardSet {
@@ -403,77 +433,22 @@ impl ShardSet {
         shards: usize,
         assignment: ShardAssignment,
     ) -> Self {
-        let n = shards.max(1);
-        metrics().shards.set_max(n as f64);
-        let fleet = (0..n)
+        let fleet = (0..shards.max(1))
             .map(|_| Coordinator::new(index.clone(), config.clone()))
             .collect();
-        Self {
-            shards: fleet,
-            assignment,
-            merge: AlertMerge::new(n),
-            index,
-            config,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The current zone-range assignment.
-    pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
-    }
-
-    /// The shared zone index.
-    pub fn index(&self) -> &ZoneIndex {
-        &self.index
-    }
-
-    /// The per-shard coordinators.
-    pub fn shards(&self) -> &[Coordinator] {
-        &self.shards
-    }
-
-    /// Routes a client check-in to the shard owning the client's zone.
-    /// The coin is drawn once by the caller and spent on exactly one
-    /// shard, so quota pacing decisions are made once no matter how
-    /// zones are partitioned.
-    pub fn checkin(
-        &mut self,
-        client: ClientId,
-        point: &GeoPoint,
-        t: SimTime,
-        networks: &[NetworkId],
-        coin: f64,
-    ) -> Vec<MeasurementTask> {
-        let zone = self.index.zone_of(point);
-        let shard = self.assignment.shard_of(zone);
-        metrics().checkins_routed.inc();
-        match self.shards.get_mut(shard) {
-            Some(c) => {
-                let tasks = c.client_checkin(client, point, t, networks, coin);
-                self.merge.note(shard, c.alerts());
-                tasks
-            }
-            None => Vec::new(),
-        }
+        Self::from_handles(fleet, assignment, index, config)
     }
 
     /// Routes a sample report to the shard owning its zone.
     pub fn ingest_report(&mut self, report: &SampleReport) -> Result<IngestSummary, IngestError> {
-        let shard = self.assignment.shard_of(report.zone);
-        metrics().reports_routed.inc();
-        match self.shards.get_mut(shard) {
-            Some(c) => {
-                let out = c.ingest_report(report);
-                self.merge.note(shard, c.alerts());
-                out
-            }
-            None => Err(IngestError::UnknownZone(report.zone)),
-        }
+        self.ingest_samples_tagged(
+            report.client,
+            0,
+            report.zone,
+            report.task.network,
+            report.t,
+            report.samples.iter().copied(),
+        )
     }
 
     /// Batched parallel ingest: reports are bucketed by owning shard
@@ -488,50 +463,100 @@ impl ShardSet {
         metrics().batches.inc();
         metrics().reports_routed.add(reports.len() as u64);
         let fleet = std::mem::take(&mut self.shards);
-        let mut work: Vec<(Coordinator, Vec<usize>)> =
-            fleet.into_iter().map(|c| (c, Vec::new())).collect();
+        let mut work: Vec<(Coordinator, Vec<usize>, u64)> =
+            fleet.into_iter().map(|c| (c, Vec::new(), 0)).collect();
         for (i, report) in reports.iter().enumerate() {
             let shard = self.assignment.shard_of(report.zone);
             if let Some(bucket) = work.get_mut(shard) {
                 bucket.1.push(i);
             }
         }
-        exec::par_map_mut(&mut work, |_, (coordinator, bucket)| {
+        exec::par_map_mut(&mut work, |_, (coordinator, bucket, folded)| {
             for &i in bucket.iter() {
                 if let Some(report) = reports.get(i) {
-                    let _ = coordinator.ingest_report(report);
+                    if coordinator.ingest_report(report).is_ok() {
+                        *folded += 1;
+                    }
                 }
             }
         });
-        for (shard, (coordinator, _)) in work.iter().enumerate() {
+        for (shard, (coordinator, _, folded)) in work.iter().enumerate() {
             self.merge.note(shard, coordinator.alerts());
+            if let Some(n) = self.ingested.get_mut(shard) {
+                *n += folded;
+            }
         }
-        self.shards = work.into_iter().map(|(c, _)| c).collect();
+        self.shards = work.into_iter().map(|(c, _, _)| c).collect();
+    }
+}
+
+impl<C: CoordinatorHandle> ShardSet<C> {
+    /// The router over externally built handles (one per shard, e.g.
+    /// WAL-backed `DurableCoordinator`s) and their zone-range
+    /// `assignment`. `index` and `config` are the ones every handle was
+    /// built with; the merged view uses them.
+    pub fn from_handles(
+        handles: Vec<C>,
+        assignment: ShardAssignment,
+        index: ZoneIndex,
+        config: CoordinatorConfig,
+    ) -> Self {
+        let n = handles.len();
+        wiscape_obs::gauge("shard/shards_max").set_max(n as f64);
+        Self {
+            shards: handles,
+            ingested: vec![0; n],
+            assignment,
+            merge: AlertMerge::new(n),
+            merged: Coordinator::new(index, config),
+        }
     }
 
-    /// Flushes every shard at `now` and merges the flush alerts in
-    /// canonical sorted order.
-    pub fn flush(&mut self, now: SimTime) {
-        for c in self.shards.iter_mut() {
-            c.flush(now);
-        }
-        let logs: Vec<&[ChangeAlert]> = self.shards.iter().map(|c| c.alerts()).collect();
-        self.merge.note_flush(&logs);
+    /// The current zone-range assignment.
+    pub fn assignment(&self) -> &ShardAssignment {
+        &self.assignment
+    }
+
+    /// The per-shard handles, in shard order.
+    pub fn shards(&self) -> &[C] {
+        &self.shards
+    }
+
+    /// Mutable per-shard handles, in shard order (WAL shutdown and
+    /// meters, restoring exported states). Operations applied here
+    /// bypass the router's alert merge.
+    pub fn shards_mut(&mut self) -> &mut [C] {
+        &mut self.shards
+    }
+
+    /// Reports each shard folded (accepted), in shard order.
+    pub fn shard_reports(&self) -> &[u64] {
+        &self.ingested
     }
 
     /// Moves the cells of `mv`'s zone range from shard `mv.from` to
     /// `mv.to` and slides the range boundary. Returns the number of
-    /// cells migrated.
+    /// cells migrated. The move is validated against the assignment
+    /// *before* any cell leaves its shard, so an inapplicable move is a
+    /// no-op that returns 0.
+    ///
+    /// With WAL-backed handles this logs a `MigrateOut` on the source
+    /// and a `MigrateIn` on the destination, so both logs replay to the
+    /// post-migration ownership.
     pub fn rebalance(&mut self, mv: &RebalanceMove) -> usize {
+        let mut next = self.assignment.clone();
+        if mv.to >= self.shards.len() || !next.apply(mv, self.merged.index()) {
+            return 0;
+        }
         let cells = match self.shards.get_mut(mv.from) {
-            Some(c) => c.take_range(mv.lo, mv.hi),
+            Some(src) => src.migrate_out_tagged(mv.lo, mv.hi),
             None => return 0,
         };
         let n = cells.len();
-        if let Some(c) = self.shards.get_mut(mv.to) {
-            c.install_cells(cells);
+        if let Some(dst) = self.shards.get_mut(mv.to) {
+            dst.migrate_in_tagged(cells);
         }
-        self.assignment.apply(mv);
+        self.assignment = next;
         metrics().rebalances.inc();
         metrics().cells_migrated.add(n as u64);
         n
@@ -541,18 +566,131 @@ impl ShardSet {
     /// coordinator fed the same operation stream would export.
     pub fn merged_state(&self) -> CoordinatorState {
         merge_states(
-            self.shards.iter().map(|c| c.export_state()),
+            self.shards
+                .iter()
+                .map(|c| c.as_coordinator().export_state()),
             self.merge.merged().to_vec(),
         )
     }
 
-    /// A single coordinator holding the merged state (for artifact
-    /// emission through the unchanged single-coordinator reporting
-    /// paths).
-    pub fn merged(&self) -> Coordinator {
-        let mut c = Coordinator::new(self.index.clone(), self.config.clone());
-        c.restore_state(self.merged_state());
-        c
+    /// Re-merges the shards into the cached merged view. Flushes do
+    /// this; call it after a mid-run rebalance if the view is read
+    /// before the next flush.
+    pub fn refresh_merged(&mut self) {
+        let state = self.merged_state();
+        self.merged.restore_state(state);
+    }
+
+    /// Runs `op` on the shard owning `zone` and drains that shard's new
+    /// alerts into the merge; `None` if the owner does not exist.
+    fn on_owner<R>(&mut self, zone: ZoneId, op: impl FnOnce(&mut C) -> R) -> Option<(usize, R)> {
+        let shard = self.assignment.shard_of(zone);
+        let c = self.shards.get_mut(shard)?;
+        let out = op(c);
+        self.merge.note(shard, c.as_coordinator().alerts());
+        Some((shard, out))
+    }
+}
+
+impl<C: CoordinatorHandle> CoordinatorHandle for ShardSet<C> {
+    fn as_coordinator(&self) -> &Coordinator {
+        &self.merged
+    }
+
+    /// Routes the check-in to the shard owning the client's zone. The
+    /// coin is drawn once by the caller and spent on exactly one shard,
+    /// so quota pacing decisions are made once however zones are
+    /// partitioned.
+    fn checkin_tagged(
+        &mut self,
+        client: ClientId,
+        point: &GeoPoint,
+        t: SimTime,
+        networks: &[NetworkId],
+        coin: f64,
+    ) -> Vec<MeasurementTask> {
+        metrics().checkins_routed.inc();
+        let zone = self.merged.index().zone_of(point);
+        self.on_owner(zone, |c| c.checkin_tagged(client, point, t, networks, coin))
+            .map(|(_, tasks)| tasks)
+            .unwrap_or_default()
+    }
+
+    fn ingest_samples_tagged<I>(
+        &mut self,
+        client: ClientId,
+        seq: u64,
+        zone: ZoneId,
+        network: NetworkId,
+        t: SimTime,
+        samples: I,
+    ) -> Result<IngestSummary, IngestError>
+    where
+        I: Iterator<Item = f64> + ExactSizeIterator + Clone,
+    {
+        metrics().reports_routed.inc();
+        let routed = self.on_owner(zone, |c| {
+            c.ingest_samples_tagged(client, seq, zone, network, t, samples)
+        });
+        match routed {
+            Some((shard, out)) => {
+                if let (Ok(_), Some(n)) = (&out, self.ingested.get_mut(shard)) {
+                    *n += 1;
+                }
+                out
+            }
+            None => Err(IngestError::UnknownZone(zone)),
+        }
+    }
+
+    /// Routes the quota to the one shard owning the zone. A broadcast
+    /// would materialize the cell on every shard and corrupt the merge.
+    fn set_zone_quota_tagged(&mut self, zone: ZoneId, network: NetworkId, quota: u32) {
+        self.on_owner(zone, |c| c.set_zone_quota_tagged(zone, network, quota));
+    }
+
+    fn set_zone_epoch_tagged(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration) {
+        self.on_owner(zone, |c| c.set_zone_epoch_tagged(zone, network, epoch));
+    }
+
+    /// Flushes every shard at `now`, merges the flush alerts in
+    /// canonical sorted order and refreshes the merged view.
+    fn flush_tagged(&mut self, now: SimTime) {
+        for c in self.shards.iter_mut() {
+            c.flush_tagged(now);
+        }
+        let logs: Vec<&[ChangeAlert]> = self
+            .shards
+            .iter()
+            .map(|c| c.as_coordinator().alerts())
+            .collect();
+        self.merge.note_flush(&logs);
+        self.refresh_merged();
+    }
+
+    /// Takes the range's cells from every shard, in `(zone, network)`
+    /// order.
+    fn migrate_out_tagged(&mut self, lo: ZoneId, hi: ZoneId) -> Vec<ZoneCellState> {
+        let mut cells: Vec<ZoneCellState> = self
+            .shards
+            .iter_mut()
+            .flat_map(|c| c.migrate_out_tagged(lo, hi))
+            .collect();
+        cells.sort_by_key(|c| (c.zone, c.network));
+        cells
+    }
+
+    /// Installs each cell on the shard owning its zone.
+    fn migrate_in_tagged(&mut self, cells: Vec<ZoneCellState>) {
+        let mut buckets: Vec<Vec<ZoneCellState>> = vec![Vec::new(); self.shards.len()];
+        for cell in cells {
+            if let Some(b) = buckets.get_mut(self.assignment.shard_of(cell.zone)) {
+                b.push(cell);
+            }
+        }
+        for (c, bucket) in self.shards.iter_mut().zip(buckets) {
+            c.migrate_in_tagged(bucket);
+        }
     }
 }
 
@@ -702,14 +840,14 @@ mod tests {
             for op in &ops {
                 match op {
                     Op::Checkin(id, p, t, coin) => {
-                        let _ = s.checkin(*id, p, *t, &nets, *coin);
+                        let _ = s.checkin_tagged(*id, p, *t, &nets, *coin);
                     }
                     Op::Ingest(r) => {
                         let _ = s.ingest_report(r);
                     }
                 }
             }
-            s.flush(SimTime::from_secs(4 * 3600));
+            s.flush_tagged(SimTime::from_secs(4 * 3600));
             assert_eq!(state_fingerprint(&s.merged_state()), single, "shards={n}");
         }
     }
@@ -734,7 +872,7 @@ mod tests {
                     &[base, base + 2.0],
                 ));
             }
-            s.flush(SimTime::from_secs(3 * 3600));
+            s.flush_tagged(SimTime::from_secs(3 * 3600));
             state_fingerprint(&s.merged_state())
         };
         let identity = run(None);
@@ -766,12 +904,86 @@ mod tests {
                     &[base, base + 2.0],
                 ));
             }
-            s.flush(SimTime::from_secs(6 * 3600));
+            s.flush_tagged(SimTime::from_secs(6 * 3600));
             state_fingerprint(&s.merged_state())
         };
         let base = run(None);
         assert_eq!(run(Some(150)), base);
         assert_eq!(run(Some(1)), base);
+    }
+
+    /// An inapplicable move — its receiver does not own the next range,
+    /// or it stops short of the donor range's tail — is refused before
+    /// any cell leaves the donor: assignment, shards and merged state
+    /// stay untouched, and later ingest still merges to the
+    /// single-coordinator state.
+    #[test]
+    fn inapplicable_rebalance_is_a_no_op() {
+        let idx = index();
+        let cfg = CoordinatorConfig::default();
+        let feed = |k: i64| {
+            let p = center().destination((k % 360) as f64, 150.0 + (k % 23) as f64 * 150.0);
+            let base = 50.0 + (k % 11) as f64 * 30.0;
+            report(
+                idx.zone_of(&p),
+                SimTime::from_secs(k * 40),
+                &[base, base + 2.0],
+            )
+        };
+        let split = {
+            let s = ShardSet::new(idx.clone(), cfg.clone(), 3);
+            RebalanceMove::split_upper(&idx, s.assignment(), 0).expect("range 0 splits")
+        };
+        // Range 0's upper half aimed at shard 2, which owns range 2, not
+        // range 1; and range 0's upper half cut to its first zone.
+        for mv in [
+            RebalanceMove { to: 2, ..split },
+            RebalanceMove {
+                hi: split.lo,
+                ..split
+            },
+        ] {
+            let mut single = Coordinator::new(idx.clone(), cfg.clone());
+            let mut s = ShardSet::new(idx.clone(), cfg.clone(), 3);
+            for k in 0i64..150 {
+                let _ = single.ingest_report(&feed(k));
+                let _ = s.ingest_report(&feed(k));
+            }
+            let tail = s.shards()[0]
+                .export_state()
+                .cells
+                .iter()
+                .filter(|cell| cell.zone >= split.lo && cell.zone <= split.hi)
+                .count();
+            assert!(tail > 0, "the split range holds cells");
+            let assignment = s.assignment().clone();
+            let fingerprints = |s: &ShardSet| -> Vec<String> {
+                s.shards()
+                    .iter()
+                    .map(|c| state_fingerprint(&c.export_state()))
+                    .collect()
+            };
+            let shards = fingerprints(&s);
+            let merged = state_fingerprint(&s.merged_state());
+
+            assert_eq!(s.rebalance(&mv), 0, "{mv:?}");
+            assert_eq!(s.assignment(), &assignment);
+            assert_eq!(fingerprints(&s), shards);
+            assert_eq!(state_fingerprint(&s.merged_state()), merged);
+
+            for k in 150i64..300 {
+                let _ = single.ingest_report(&feed(k));
+                let _ = s.ingest_report(&feed(k));
+            }
+            let end = SimTime::from_secs(6 * 3600);
+            single.flush(end);
+            s.flush_tagged(end);
+            assert_eq!(
+                state_fingerprint(&s.merged_state()),
+                state_fingerprint(&single.export_state()),
+                "{mv:?}"
+            );
+        }
     }
 
     #[test]
@@ -793,10 +1005,10 @@ mod tests {
         for r in &reports {
             let _ = routed.ingest_report(r);
         }
-        routed.flush(SimTime::from_secs(3600 * 2));
+        routed.flush_tagged(SimTime::from_secs(3600 * 2));
         let mut batched = ShardSet::new(idx.clone(), cfg.clone(), 4);
         batched.ingest_batch(&reports);
-        batched.flush(SimTime::from_secs(3600 * 2));
+        batched.flush_tagged(SimTime::from_secs(3600 * 2));
         assert_eq!(
             state_fingerprint(&batched.merged_state()),
             state_fingerprint(&routed.merged_state()),
@@ -809,8 +1021,8 @@ mod tests {
         let mut s = ShardSet::new(idx.clone(), CoordinatorConfig::default(), 2);
         let zone = idx.zone_of(&center());
         let _ = s.ingest_report(&report(zone, SimTime::from_secs(0), &[100.0, 110.0]));
-        s.flush(SimTime::from_secs(3600));
-        let merged = s.merged();
+        s.flush_tagged(SimTime::from_secs(3600));
+        let merged = s.as_coordinator();
         assert_eq!(
             state_fingerprint(&merged.export_state()),
             state_fingerprint(&s.merged_state()),

@@ -437,18 +437,18 @@ proptest! {
     }
 }
 
-/// A real two-shard handoff under injected crashes: two durable
-/// coordinators split the zone space, a mid-stream rebalance moves a
-/// column band from one WAL to the other via `MigrateOut`/`MigrateIn`
-/// records, and seeded crashes fire on both logs. The merged final
-/// state must fingerprint-equal a single uninterrupted coordinator fed
-/// the same stream, with both recovery proofs clean.
+/// A real two-shard handoff under injected crashes: a `ShardSet` router
+/// over two durable coordinators splits the zone space evenly, a
+/// mid-stream rebalance moves the upper half of shard 0's range to
+/// shard 1 via `MigrateOut`/`MigrateIn` records, and seeded crashes
+/// fire on both logs. The merged final state must fingerprint-equal a
+/// single uninterrupted coordinator fed the same stream, with both
+/// recovery proofs clean.
 #[test]
 fn two_shard_migration_with_seeded_crashes_matches_single() {
-    use wiscape_core::{merge_states, state_fingerprint, AlertMerge};
+    use wiscape_core::{state_fingerprint, RebalanceMove, ShardAssignment, ShardSet};
 
     let (index, config) = index_and_config();
-    let boundary = |after_move: bool| if after_move { -3i32 } else { 0 };
 
     #[derive(Clone, Copy)]
     enum Ev {
@@ -456,10 +456,13 @@ fn two_shard_migration_with_seeded_crashes_matches_single() {
         Quota { col: i32, row: i32, q: u32 },
         Flush,
     }
+    // Every event lands in the index's 12 x 12 zone grid (cols and rows
+    // 0..=11), so both shards and the moved range hold live cells.
     let mut evs = Vec::new();
     for i in 0..300i64 {
-        let col = ((i * 7) % 12 - 6) as i32;
-        let row = ((i * 5) % 12 - 6) as i32;
+        let col = ((i * 7) % 12) as i32;
+        let row = ((i * 5 + i / 12) % 12) as i32;
+        assert!(index.in_bounds(ZoneId(CellId { col, row })));
         match i % 17 {
             16 => evs.push(Ev::Flush),
             15 => evs.push(Ev::Quota {
@@ -475,113 +478,74 @@ fn two_shard_migration_with_seeded_crashes_matches_single() {
             }),
         }
     }
+    // The same stream into any handle: the single reference and the
+    // router take identical calls.
+    let apply = |h: &mut dyn FnMut(&Ev, SimTime), evs: &[Ev]| {
+        for (i, ev) in evs.iter().enumerate() {
+            h(ev, op_time(i));
+        }
+    };
+    fn step<H: CoordinatorHandle>(h: &mut H, ev: &Ev, t: SimTime) {
+        match *ev {
+            Ev::Ingest { col, row, net, v } => {
+                let _ = h.ingest_samples_tagged(
+                    ClientId(1),
+                    0,
+                    ZoneId(CellId { col, row }),
+                    net_of(net),
+                    t,
+                    [v].into_iter(),
+                );
+            }
+            Ev::Quota { col, row, q } => {
+                h.set_zone_quota_tagged(ZoneId(CellId { col, row }), NetworkId::NetA, q)
+            }
+            Ev::Flush => h.flush_tagged(t),
+        }
+    }
 
     for seed in [11u64, 29, 47] {
         // Uninterrupted single-coordinator reference.
         let mut single = Coordinator::new(index.clone(), config.clone());
-        let apply_ev = |h: &mut dyn FnMut(&Ev, SimTime), evs: &[Ev]| {
-            for (i, ev) in evs.iter().enumerate() {
-                h(ev, op_time(i));
-            }
-        };
-        apply_ev(
-            &mut |ev, t| match *ev {
-                Ev::Ingest { col, row, net, v } => {
-                    let _ = single.ingest_samples_tagged(
-                        ClientId(1),
-                        0,
-                        ZoneId(CellId { col, row }),
-                        net_of(net),
-                        t,
-                        [v].into_iter(),
-                    );
-                }
-                Ev::Quota { col, row, q } => {
-                    single.set_zone_quota_tagged(ZoneId(CellId { col, row }), NetworkId::NetA, q)
-                }
-                Ev::Flush => single.flush_tagged(t),
-            },
-            &evs,
-        );
+        apply(&mut |ev, t| step(&mut single, ev, t), &evs);
 
-        // Sharded run: shard 0 owns col < boundary, shard 1 the rest,
-        // each behind its own WAL with a seeded crash plan.
+        // Sharded run: two WAL-backed shards behind the router, each
+        // with its own seeded crash plan.
         let dir_a = fresh_dir(&format!("mig-a-{seed}"));
         let dir_b = fresh_dir(&format!("mig-b-{seed}"));
-        let mut a = DurableCoordinator::create(
+        let a = DurableCoordinator::create(
             &dir_a,
             index.clone(),
             config.clone(),
             wal_opts(CrashPlan::seeded(seed, 120)),
         )
         .unwrap();
-        let mut b = DurableCoordinator::create(
+        let b = DurableCoordinator::create(
             &dir_b,
             index.clone(),
             config.clone(),
             wal_opts(CrashPlan::seeded(seed.wrapping_add(1), 120)),
         )
         .unwrap();
-        let mut merge = AlertMerge::new(2);
-        let mut moved = false;
+        let assignment = ShardAssignment::even(&index, 2);
+        let mut set = ShardSet::from_handles(vec![a, b], assignment, index.clone(), config.clone());
         for (i, ev) in evs.iter().enumerate() {
-            let t = op_time(i);
             if i == 150 {
-                // Rebalance: columns [-3, -1] move from shard 0 to 1.
-                let lo = ZoneId(CellId {
-                    col: -3,
-                    row: i32::MIN,
-                });
-                let hi = ZoneId(CellId {
-                    col: -1,
-                    row: i32::MAX,
-                });
-                let cells = a.migrate_out_tagged(lo, hi);
-                assert!(!cells.is_empty(), "rebalance must move tracked cells");
-                b.migrate_in_tagged(cells);
-                moved = true;
+                let mv = RebalanceMove::split_upper(&index, set.assignment(), 0).unwrap();
+                assert!(set.rebalance(&mv) > 0, "rebalance must move tracked cells");
             }
-            match *ev {
-                Ev::Ingest { col, row, net, v } => {
-                    let shard = usize::from(col >= boundary(moved));
-                    let h: &mut DurableCoordinator = if shard == 0 { &mut a } else { &mut b };
-                    let _ = h.ingest_samples_tagged(
-                        ClientId(1),
-                        0,
-                        ZoneId(CellId { col, row }),
-                        net_of(net),
-                        t,
-                        [v].into_iter(),
-                    );
-                    merge.note(shard, h.coordinator_ref().alerts());
-                }
-                Ev::Quota { col, row, q } => {
-                    let shard = usize::from(col >= boundary(moved));
-                    let h: &mut DurableCoordinator = if shard == 0 { &mut a } else { &mut b };
-                    h.set_zone_quota_tagged(ZoneId(CellId { col, row }), NetworkId::NetA, q);
-                    merge.note(shard, h.coordinator_ref().alerts());
-                }
-                Ev::Flush => {
-                    a.flush_tagged(t);
-                    b.flush_tagged(t);
-                    merge.note_flush(&[a.coordinator_ref().alerts(), b.coordinator_ref().alerts()]);
-                }
-            }
+            step(&mut set, ev, op_time(i));
         }
-        a.shutdown().unwrap();
-        b.shutdown().unwrap();
-        assert_eq!(a.wal_meters().recovery_mismatches, 0, "seed {seed}");
-        assert_eq!(b.wal_meters().recovery_mismatches, 0, "seed {seed}");
-
-        let merged = merge_states(
-            [
-                a.coordinator_ref().export_state(),
-                b.coordinator_ref().export_state(),
-            ],
-            merge.merged().to_vec(),
-        );
+        for (k, h) in set.shards_mut().iter_mut().enumerate() {
+            h.shutdown().unwrap();
+            assert_eq!(
+                h.wal_meters().recovery_mismatches,
+                0,
+                "seed {seed} shard {k}"
+            );
+        }
         assert_eq!(
-            state_fingerprint(&merged),
+            state_fingerprint(&set.merged_state()),
             state_fingerprint(&single.export_state()),
             "merged sharded state diverged (seed {seed})"
         );
